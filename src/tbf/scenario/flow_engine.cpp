@@ -4,11 +4,20 @@
 
 namespace tbf::scenario {
 
-TimeNs FlowEngine::InitFirstTask(TimeNs flow_start) {
+void FlowEngine::Init(const FlowSpec& flow, int id, sim::Simulator* shard_sim,
+                      sim::Rng* shard_rng, stats::StatsEngine* shard_stats) {
+  spec = flow;
+  flow_id = id;
+  sim = shard_sim;
+  rng = shard_rng;
+  stats = shard_stats;
+  stats->RegisterFlow(flow_id);
+
   // Size of the first transfer: the spec's task size, an on/off draw, or the trace's
   // first logged transfer. 0 keeps the flow unbounded (kBulk fluid transfer). Trace
   // replays anchor the start at the first logged arrival so later transfers keep their
   // logged offsets from it.
+  TimeNs flow_start = spec.start;
   int64_t first_task = 0;
   switch (spec.model) {
     case TrafficModel::kBulk:
@@ -27,7 +36,32 @@ TimeNs FlowEngine::InitFirstTask(TimeNs flow_start) {
   }
   task_target = first_task;
   tasks_started = first_task > 0 ? 1 : 0;
-  return flow_start;
+  actual_start =
+      spec.transport == Transport::kUdp ? flow_start + flow_id * Us(97) : flow_start;
+  task_started_at = actual_start;  // The first task transfers from the start.
+}
+
+net::FlowAddress FlowEngine::Address() const {
+  const bool uplink = spec.direction == Direction::kUplink;
+  net::FlowAddress addr;
+  addr.flow_id = flow_id;
+  addr.wlan_client = spec.client;
+  addr.sender = uplink ? spec.client : kServerId;
+  addr.receiver = uplink ? kServerId : spec.client;
+  return addr;
+}
+
+void FlowEngine::ArmTcpSender() {
+  if (task_target > 0) {
+    tcp_sender->SetTaskBytes(task_target);
+    tcp_sender->SetOnTaskComplete([this] { OnTaskComplete(); });
+  }
+  if (spec.app_limit_bps > 0) {
+    tcp_sender->SetAppLimitBps(spec.app_limit_bps);
+  }
+  tcp_sender->SetRttSampleFn([this](TimeNs sample) {
+    stats->RecordRtt(flow_id, sim->Now(), sample);
+  });
 }
 
 void FlowEngine::OnDelivered(int64_t bytes) {
@@ -94,11 +128,10 @@ void FlowEngine::QueueNextTask(int64_t bytes, TimeNs delay) {
 }
 
 void AccumulateFlowResult(const FlowEngine& flow, int64_t delivered_delta,
-                          double window_sec, const stats::StatsEngine& meters,
-                          const stats::StatsEngine& queue_meters, Results* results,
-                          double* sum_task_sec, int64_t* table1_tasks) {
+                          double window_sec, const stats::StatsEngine& queue_meters,
+                          Results* results, double* sum_task_sec, int64_t* table1_tasks) {
   static const stats::FlowStats kNoStats = stats::FlowStats();
-  const stats::FlowStats* fs = meters.flow(flow.flow_id);
+  const stats::FlowStats* fs = flow.stats->flow(flow.flow_id);
   const stats::FlowStats* qs = queue_meters.flow(flow.flow_id);
   if (fs == nullptr) {
     fs = &kNoStats;

@@ -36,8 +36,8 @@ struct FlowEngine {
   TimeNs actual_start = 0;
 
   // The simulator, rng and stats engine of the shard this engine lives in (single-cell
-  // scenarios have exactly one of each). Set by the builder before any task runs; the
-  // flow must be registered with `stats` before its first sample.
+  // scenarios have exactly one of each). Set by Init, which also registers the flow
+  // with `stats` before its first sample.
   sim::Simulator* sim = nullptr;
   sim::Rng* rng = nullptr;
   stats::StatsEngine* stats = nullptr;
@@ -67,11 +67,22 @@ struct FlowEngine {
 
   bool HasTasks() const { return task_target > 0; }
 
-  // Sizes the first transfer (drawing from `rng` for on/off flows) and returns the
-  // flow's start instant - `flow_start` shifted to the first logged arrival for trace
-  // replays. Sets task_target (the first task's bytes; 0 keeps the flow unbounded)
-  // and tasks_started.
-  TimeNs InitFirstTask(TimeNs flow_start);
+  // Binds the engine to flow `id` of `flow` in the shard whose simulator, rng and stats
+  // engine are given, and registers the flow with that engine. Then sizes the first
+  // transfer (drawing from `rng` for on/off flows; task_target 0 keeps the flow
+  // unbounded) and fixes actual_start: spec.start, shifted to the first logged arrival
+  // for trace replays, and for UDP staggered by flow id so synchronized CBR sources do
+  // not phase-lock on shared queues. Flow ids are campus-global, so a campus cell
+  // staggers exactly like the equivalent single cell.
+  void Init(const FlowSpec& flow, int id, sim::Simulator* shard_sim, sim::Rng* shard_rng,
+            stats::StatsEngine* shard_stats);
+
+  // The flow's transport address: the station and the server, in the spec's direction.
+  net::FlowAddress Address() const;
+
+  // Arms tcp_sender: the first task's bytes and completion hook (TCP tasks complete
+  // when the final byte is cumulatively acked), the app limit and the RTT tap.
+  void ArmTcpSender();
 
   // Delivery-side accounting; UDP finite tasks complete here (no acks).
   void OnDelivered(int64_t bytes);
@@ -87,15 +98,13 @@ struct FlowEngine {
 // goodput, and the Table 1 task aggregates accumulated via `sum_task_sec`/
 // `table1_tasks` (the caller divides at the end). `delivered_delta` is the payload
 // delivered inside the window - the caller supplies it because in a sharded campus the
-// receiver-side counter may live in the opposite shard from the engine. `meters` is
-// the stats engine of the shard the flow engine lives in (task + RTT meters);
-// `queue_meters` is the stats engine of the flow's *cell* shard, where the AP qdisc
-// tap always records - for downlink campus flows these differ. Single-cell callers
-// pass the same engine twice.
+// receiver-side counter may live in the opposite shard from the engine. Task and RTT
+// meters come from the engine's own `stats`; `queue_meters` is the stats engine of the
+// flow's *cell* shard, where the AP qdisc tap always records - for downlink campus
+// flows the two differ.
 void AccumulateFlowResult(const FlowEngine& flow, int64_t delivered_delta,
-                          double window_sec, const stats::StatsEngine& meters,
-                          const stats::StatsEngine& queue_meters, Results* results,
-                          double* sum_task_sec, int64_t* table1_tasks);
+                          double window_sec, const stats::StatsEngine& queue_meters,
+                          Results* results, double* sum_task_sec, int64_t* table1_tasks);
 
 }  // namespace tbf::scenario
 

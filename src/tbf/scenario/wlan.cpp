@@ -250,36 +250,6 @@ std::string ValidateScenario(const ScenarioConfig& config,
   return std::string();
 }
 
-std::unique_ptr<ap::Qdisc> MakeQdisc(const ScenarioConfig& config, sim::Simulator* sim,
-                                     rateadapt::CompositeRateController* rates,
-                                     core::TimeBasedRegulator** tbr_out) {
-  switch (config.qdisc) {
-    case QdiscKind::kFifo:
-      return std::make_unique<ap::FifoQdisc>(config.fifo_limit);
-    case QdiscKind::kRoundRobin:
-      return std::make_unique<ap::RoundRobinQdisc>(config.per_queue_limit);
-    case QdiscKind::kDrr:
-      return std::make_unique<ap::DrrQdisc>(config.per_queue_limit);
-    case QdiscKind::kOarBurst:
-      // OAR-style comparison baseline: bursts sized by the client's current rate.
-      return std::make_unique<ap::BurstRoundRobinQdisc>(
-          [rates](NodeId client) { return phy::GetRateInfo(rates->CurrentRate(client)).bps; },
-          Mbps(1), config.per_queue_limit);
-    case QdiscKind::kTbr:
-    case QdiscKind::kTbrBurstCredit:
-    case QdiscKind::kTbrFastEwma:
-    case QdiscKind::kTbrCreditHybrid: {
-      core::TbrConfig tbr_config = config.tbr;
-      tbr_config.mode = TbrModeForKind(config.qdisc, config.tbr.mode);
-      auto tbr = std::make_unique<core::TimeBasedRegulator>(sim, config.timings,
-                                                            tbr_config);
-      *tbr_out = tbr.get();
-      return tbr;
-    }
-  }
-  return nullptr;
-}
-
 void Wlan::Build() {
   TBF_CHECK(!built_);
   if (std::string err = ValidateScenario(config_, station_specs_, flow_specs_);
@@ -288,161 +258,68 @@ void Wlan::Build() {
   }
   built_ = true;
 
-  stats_ = stats::StatsEngine(config_.stats);
+  sim::Simulator* sim = &cell_.sim();
+  wired_ = std::make_unique<net::WiredLink>(sim, config_.wired_rate, config_.wired_delay);
+  net::WiredLink* wired = wired_.get();
+  cell_.Build(config_, config_.seed, station_specs_,
+              [wired](net::PacketPtr p) { wired->SendTowardServer(std::move(p)); });
   // A single cell is not a merge-tree child and its sim time is monotone, so older
   // windows can never receive another sample: seal them as soon as a later one opens,
   // keeping open-sketch memory O(1) instead of O(run length / window).
-  stats_.SetAutoSeal(true);
+  cell_.stats().SetAutoSeal(true);
+  server_ = std::make_unique<net::WiredHost>(sim, kServerId, cell_.demux(), wired);
+  ap::AccessPoint* ap = cell_.ap();
+  wired->SetTowardAp([ap](net::PacketPtr p) { ap->EnqueueDownlink(std::move(p)); });
 
-  rng_ = std::make_unique<sim::Rng>(config_.seed);
-  fixed_loss_ = std::make_unique<phy::FixedPerLink>();
-  snr_loss_ = std::make_unique<phy::SnrLossModel>();
-  loss_ = std::make_unique<phy::DispatchLossModel>(fixed_loss_.get(), snr_loss_.get());
-  medium_ = std::make_unique<mac::Medium>(&sim_, config_.timings, loss_.get(), rng_.get());
-  ap_rates_ = std::make_unique<rateadapt::CompositeRateController>();
-  ap_ = std::make_unique<ap::AccessPoint>(
-      &sim_, medium_.get(), MakeQdisc(config_, &sim_, ap_rates_.get(), &tbr_),
-      ap_rates_.get());
-  wired_ = std::make_unique<net::WiredLink>(&sim_, config_.wired_rate, config_.wired_delay);
-  demux_ = std::make_unique<net::Demux>();
-  server_ = std::make_unique<net::WiredHost>(&sim_, kServerId, demux_.get(), wired_.get());
-
-  ap_->ConnectWired(wired_.get());
-  wired_->SetTowardAp([this](net::PacketPtr p) { ap_->EnqueueDownlink(std::move(p)); });
-
-  for (const StationSpec& spec : station_specs_) {
-    if (spec.snr_db != 0.0) {
-      snr_loss_->SetClientSnr(spec.id, spec.snr_db);
-    } else if (spec.per > 0.0) {
-      fixed_loss_->SetClientPer(spec.id, spec.per);
-    }
-    std::unique_ptr<rateadapt::RateController> client_rates;
-    if (spec.arf) {
-      rateadapt::ArfConfig arf;
-      arf.initial_rate = spec.rate;
-      auto ctrl = std::make_unique<rateadapt::ArfController>(arf);
-      ctrl->Seed(kApId, spec.rate);
-      client_rates = std::move(ctrl);
-      ap_rates_->MarkAdaptive(spec.id, spec.rate);
-    } else {
-      auto ctrl = std::make_unique<rateadapt::FixedRateController>(spec.rate);
-      client_rates = std::move(ctrl);
-      ap_rates_->PinRate(spec.id, spec.rate);
-    }
-    hosts_.emplace(spec.id, std::make_unique<net::WirelessHost>(
-                                &sim_, medium_.get(), spec.id, std::move(client_rates),
-                                demux_.get(), spec.queue_limit));
-    ap_->Associate(spec.id);
-  }
-
-  // Pin the contention-allowance divisor to the declared cell size so per-packet
-  // charges never depend on association order. Identical to the legacy associated-
-  // count divisor here, because the loop above associates every station upfront.
-  if (tbr_ != nullptr && config_.tbr.contention_contenders == 0) {
-    tbr_->SetContentionContenders(static_cast<int>(station_specs_.size()));
-  }
-
-  if (tbr_ != nullptr && config_.tbr.client_agent) {
-    tbr_->SetClientPauseFn([this](NodeId client, TimeNs until) {
-      auto it = hosts_.find(client);
-      if (it != hosts_.end()) {
-        it->second->PauseUplinkUntil(until);
-      }
-    });
-  }
-
+  net::WiredHost* server = server_.get();
+  net::PacketPool* pool = &cell_.pool();
   int next_flow_id = 1;
   for (const FlowSpec& spec : flow_specs_) {
-    auto it = hosts_.find(spec.client);
-    TBF_CHECK(it != hosts_.end()) << "flow references unknown station " << spec.client;
-    net::WirelessHost* host = it->second.get();
+    net::WirelessHost* host = cell_.host(spec.client);
+    TBF_CHECK(host != nullptr) << "flow references unknown station " << spec.client;
 
     auto rt = std::make_unique<FlowEngine>();
-    rt->spec = spec;
-    rt->flow_id = next_flow_id++;
-    rt->sim = &sim_;
-    rt->rng = rng_.get();
-    rt->stats = &stats_;
-    stats_.RegisterFlow(rt->flow_id);
+    rt->Init(spec, next_flow_id++, sim, cell_.rng(), &cell_.stats());
+    const net::FlowAddress addr = rt->Address();
 
-    net::FlowAddress addr;
-    addr.flow_id = rt->flow_id;
-    addr.wlan_client = spec.client;
-
+    // The two exits: into the cell's air, or onto the wire toward the AP. Uplink
+    // senders transmit into the air and their acks come back down the wire.
     const bool uplink = spec.direction == Direction::kUplink;
-    addr.sender = uplink ? spec.client : kServerId;
-    addr.receiver = uplink ? kServerId : spec.client;
-
-    auto sender_out = [this, host, uplink](net::PacketPtr p) {
-      if (uplink) {
-        host->SendPacket(std::move(p));
-      } else {
-        server_->SendPacket(std::move(p));
-      }
+    net::TcpSender::SendFn into_air = [host](net::PacketPtr p) {
+      host->SendPacket(std::move(p));
     };
-    auto receiver_out = [this, host, uplink](net::PacketPtr p) {
-      if (uplink) {
-        server_->SendPacket(std::move(p));  // Acks travel back down through the AP.
-      } else {
-        host->SendPacket(std::move(p));
-      }
+    net::TcpSender::SendFn onto_wire = [server](net::PacketPtr p) {
+      server->SendPacket(std::move(p));
     };
+    const net::TcpSender::SendFn& sender_out = uplink ? into_air : onto_wire;
+    const net::TcpSender::SendFn& receiver_out = uplink ? onto_wire : into_air;
 
     FlowEngine* rt_ptr = rt.get();
     auto deliver = [rt_ptr](int64_t bytes) { rt_ptr->OnDelivered(bytes); };
 
-    const TimeNs flow_start = rt->InitFirstTask(spec.start);
-    const int64_t first_task = rt->task_target;
-
     if (spec.transport == Transport::kTcp) {
       net::TcpConfig tcp;
       tcp.mss = spec.packet_bytes - net::kIpTcpHeaderBytes;
-      rt->tcp_sender =
-          std::make_unique<net::TcpSender>(&sim_, &packet_pool_, tcp, addr, sender_out);
-      rt->tcp_receiver = std::make_unique<net::TcpReceiver>(&sim_, &packet_pool_, tcp,
-                                                            addr, receiver_out, deliver);
-      if (first_task > 0) {
-        rt->tcp_sender->SetTaskBytes(first_task);
-        // TCP tasks complete when the final byte is cumulatively acked.
-        rt->tcp_sender->SetOnTaskComplete([rt_ptr] { rt_ptr->OnTaskComplete(); });
-      }
-      if (spec.app_limit_bps > 0) {
-        rt->tcp_sender->SetAppLimitBps(spec.app_limit_bps);
-      }
-      rt->tcp_sender->SetRttSampleFn([rt_ptr](TimeNs sample) {
-        rt_ptr->stats->RecordRtt(rt_ptr->flow_id, rt_ptr->sim->Now(), sample);
-      });
-      demux_->Register(addr.sender, addr.flow_id, rt->tcp_sender.get());
-      demux_->Register(addr.receiver, addr.flow_id, rt->tcp_receiver.get());
-      rt->actual_start = flow_start;
+      rt->tcp_sender = std::make_unique<net::TcpSender>(sim, pool, tcp, addr, sender_out);
+      rt->tcp_receiver =
+          std::make_unique<net::TcpReceiver>(sim, pool, tcp, addr, receiver_out, deliver);
+      rt->ArmTcpSender();
+      cell_.demux()->Register(addr.sender, addr.flow_id, rt->tcp_sender.get());
+      cell_.demux()->Register(addr.receiver, addr.flow_id, rt->tcp_receiver.get());
       rt->tcp_sender->Start(rt->actual_start);
     } else {
       // The source packetizes finite tasks itself (ceiling division with a trimmed
-      // final datagram), so exactly first_task payload bytes hit the wire.
-      rt->udp_source = std::make_unique<net::UdpSource>(&sim_, &packet_pool_, addr,
-                                                        sender_out, spec.udp_rate,
-                                                        spec.packet_bytes, first_task,
-                                                        rng_.get());
+      // final datagram), so exactly first_task payload bytes hit the wire. Both ends
+      // live in this cell, so the source restarts finite task chains directly.
+      rt->udp_source = std::make_unique<net::UdpSource>(sim, pool, addr, sender_out,
+                                                        spec.udp_rate, spec.packet_bytes,
+                                                        rt->task_target, cell_.rng());
       rt->udp_sink = std::make_unique<net::UdpSink>(deliver);
-      demux_->Register(addr.receiver, addr.flow_id, rt->udp_sink.get());
-      // Stagger CBR starts so synchronized sources do not phase-lock on shared queues.
-      rt->actual_start = flow_start + rt->flow_id * Us(97);
+      cell_.demux()->Register(addr.receiver, addr.flow_id, rt->udp_sink.get());
       rt->udp_source->Start(rt->actual_start);
     }
-    rt->task_started_at = rt->actual_start;  // The first task transfers from the start.
     flows_.push_back(std::move(rt));
   }
-
-  // AP qdisc residency tap: attribute each transmitted packet's queueing delay to its
-  // flow's meter (the engine drops ids it never registered).
-  ap_->SetQueueDelayFn([this](int flow_id, NodeId /*client*/, TimeNs delay) {
-    stats_.RecordQueueDelay(flow_id, sim_.Now(), delay);
-  });
-}
-
-net::WirelessHost* Wlan::host(NodeId id) {
-  auto it = hosts_.find(id);
-  return it == hosts_.end() ? nullptr : it->second.get();
 }
 
 void Wlan::BuildNow() {
@@ -457,45 +334,24 @@ Results Wlan::Run() {
   }
 
   // Warmup, then snapshot counters.
-  std::map<NodeId, TimeNs> airtime_at_warmup;
-  TimeNs busy_at_warmup = 0;
-  sim_.RunUntil(config_.warmup);
-  for (const auto& [node, t] : medium_->airtime_meter().by_node()) {
-    airtime_at_warmup[node] = t;
-  }
-  busy_at_warmup = medium_->busy_time();
+  cell_.sim().RunUntil(config_.warmup);
+  cell_.SnapshotWarmup();
   for (auto& flow : flows_) {
     flow->window_snapshot = flow->delivered_bytes;
   }
 
-  sim_.RunUntil(config_.warmup + config_.duration);
+  cell_.sim().RunUntil(config_.warmup + config_.duration);
+
+  stats::StatsEngine& stats = cell_.stats();
+  stats.FlushAll();
 
   Results results;
   const double window_sec = ToSeconds(config_.duration);
-
-  TimeNs total_airtime_delta = 0;
-  std::map<NodeId, TimeNs> airtime_delta;
-  for (const auto& [node, t] : medium_->airtime_meter().by_node()) {
-    const TimeNs before =
-        airtime_at_warmup.contains(node) ? airtime_at_warmup[node] : 0;
-    airtime_delta[node] = t - before;
-    total_airtime_delta += t - before;
-  }
-  for (const auto& [node, dt] : airtime_delta) {
-    results.airtime_share[node] =
-        total_airtime_delta > 0
-            ? static_cast<double>(dt) / static_cast<double>(total_airtime_delta)
-            : 0.0;
-  }
-
-  stats_.FlushAll();
-
   double sum_task_sec = 0.0;
   int64_t table1_tasks = 0;
   for (auto& flow : flows_) {
     AccumulateFlowResult(*flow, flow->delivered_bytes - flow->window_snapshot,
-                         window_sec, stats_, stats_, &results, &sum_task_sec,
-                         &table1_tasks);
+                         window_sec, stats, &results, &sum_task_sec, &table1_tasks);
   }
   if (table1_tasks > 0) {
     results.avg_task_time_sec = sum_task_sec / static_cast<double>(table1_tasks);
@@ -503,24 +359,12 @@ Results Wlan::Run() {
   // Legacy exact mode: the cell-wide sketches are the per-flow merges above, exactly
   // the pre-engine readout. Streaming modes: replace them with the engine's complete
   // whole-run meters (the per-flow merge covers retained flows only).
-  if (stats_.HasCompleteMeters()) {
-    results.rtt_sketch = stats_.meter(stats::kRtt);
-    results.ap_queue_delay_sketch = stats_.meter(stats::kQueueDelay);
-    results.task_latency_sketch = stats_.meter(stats::kTaskLatency);
+  if (stats.HasCompleteMeters()) {
+    results.rtt_sketch = stats.meter(stats::kRtt);
+    results.ap_queue_delay_sketch = stats.meter(stats::kQueueDelay);
+    results.task_latency_sketch = stats.meter(stats::kTaskLatency);
   }
-  results.rtt = LatencySummary::FromSketch(results.rtt_sketch);
-  results.ap_queue_delay = LatencySummary::FromSketch(results.ap_queue_delay_sketch);
-  results.task_latency = LatencySummary::FromSketch(results.task_latency_sketch);
-  results.rtt_series = stats_.series(stats::kRtt);
-  results.ap_queue_delay_series = stats_.series(stats::kQueueDelay);
-  results.task_latency_series = stats_.series(stats::kTaskLatency);
-  results.goodput_series = stats_.bytes_series();
-
-  results.utilization =
-      static_cast<double>(medium_->busy_time() - busy_at_warmup) / config_.duration;
-  results.mac_collisions = medium_->collisions();
-  results.mac_exchanges = medium_->exchanges();
-  results.ap_drops = ap_->downlink_drops();
+  cell_.ReadOut(config_.duration, &results);
   return results;
 }
 

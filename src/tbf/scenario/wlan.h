@@ -2,26 +2,26 @@
 //
 // Describes a single-cell infrastructure WLAN - stations (rate, loss), flows (TCP/UDP,
 // direction, task size, app limit) and the AP queueing discipline - then builds the full
-// stack (medium, DCF stations, AP + qdisc, wired backbone, transports), runs it, and
-// returns per-node goodput, airtime shares and per-flow results measured after a warmup.
-// Every bench and example in this repository is a thin wrapper around this class.
+// stack (a CellStack for the medium, DCF stations and AP + qdisc, plus the wired
+// backbone and transports), runs it, and returns per-node goodput, airtime shares and
+// per-flow results measured after a warmup. The single-cell benches and examples wrap
+// this class; multi-AP campuses run the same CellStack per BSS in shard::CampusSim.
 #ifndef TBF_SCENARIO_WLAN_H_
 #define TBF_SCENARIO_WLAN_H_
 
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "tbf/ap/access_point.h"
 #include "tbf/core/tbr.h"
 #include "tbf/mac/medium.h"
 #include "tbf/net/host.h"
 #include "tbf/net/tcp.h"
 #include "tbf/net/udp.h"
+#include "tbf/net/wired.h"
 #include "tbf/phy/channel.h"
-#include "tbf/rateadapt/rate_controller.h"
+#include "tbf/scenario/cell_stack.h"
 #include "tbf/scenario/results.h"
 #include "tbf/sim/simulator.h"
 #include "tbf/stats/engine.h"
@@ -136,7 +136,7 @@ class ScenarioError : public std::runtime_error {
 
 struct ScenarioConfig {
   QdiscKind qdisc = QdiscKind::kFifo;
-  core::TbrConfig tbr;          // Used when qdisc == kTbr.
+  core::TbrConfig tbr;          // Used by every TBR kind (see IsTbrKind).
   size_t fifo_limit = 110;      // Stock kernel interface queue (Exp-Normal).
   size_t per_queue_limit = 50;  // RR / DRR per-client queues.
   phy::MacTimings timings = phy::MixedModeTimings();
@@ -161,14 +161,6 @@ struct ScenarioConfig {
 std::string ValidateScenario(const ScenarioConfig& config,
                              const std::vector<StationSpec>& stations,
                              const std::vector<FlowSpec>& flows);
-
-// Builds the AP transmit qdisc a config asks for. `rates` feeds the burst-sizing
-// baseline (kOarBurst); when the config selects TBR, `*tbr_out` receives the live
-// regulator for pre-run configuration (weights, client-agent wiring). Shared by the
-// single-cell builder and the sharded campus builder (one qdisc per BSS shard).
-std::unique_ptr<ap::Qdisc> MakeQdisc(const ScenarioConfig& config, sim::Simulator* sim,
-                                     rateadapt::CompositeRateController* rates,
-                                     core::TimeBasedRegulator** tbr_out);
 
 struct FlowEngine;
 
@@ -205,13 +197,13 @@ class Wlan {
   Results Run();
 
   // Post-run (or mid-run via callbacks) introspection.
-  core::TimeBasedRegulator* tbr() { return tbr_; }
-  mac::Medium* medium() { return medium_.get(); }
-  sim::Simulator& simulator() { return sim_; }
-  net::PacketPool& packet_pool() { return packet_pool_; }
-  net::WirelessHost* host(NodeId id);
+  core::TimeBasedRegulator* tbr() { return cell_.tbr(); }
+  mac::Medium* medium() { return cell_.medium(); }
+  sim::Simulator& simulator() { return cell_.sim(); }
+  net::PacketPool& packet_pool() { return cell_.pool(); }
+  net::WirelessHost* host(NodeId id) { return cell_.host(id); }
   // The run's metrology (complete after Run(); see docs/metrology.md).
-  const stats::StatsEngine& stats_engine() const { return stats_; }
+  const stats::StatsEngine& stats_engine() const { return cell_.stats(); }
 
  private:
   void Build();
@@ -220,26 +212,14 @@ class Wlan {
   std::vector<StationSpec> station_specs_;
   std::vector<FlowSpec> flow_specs_;
 
-  // Runtime (populated by Build). The packet pool sits next to the Simulator and is
-  // declared right after it so it outlives every component that can hold packets
-  // (members below are destroyed first); each scenario owns its own pool, so sweep
-  // workers never share one (TBF_SWEEP_THREADS stays race-free and bit-identical).
-  sim::Simulator sim_;
-  net::PacketPool packet_pool_;
-  std::unique_ptr<sim::Rng> rng_;
-  std::unique_ptr<phy::FixedPerLink> fixed_loss_;
-  std::unique_ptr<phy::SnrLossModel> snr_loss_;
-  std::unique_ptr<phy::LossModel> loss_;  // Dispatches per client to the two above.
-  std::unique_ptr<mac::Medium> medium_;
-  std::unique_ptr<rateadapt::CompositeRateController> ap_rates_;
-  std::unique_ptr<ap::AccessPoint> ap_;
+  // Runtime (populated by Build). The cell owns the simulator and packet pool; every
+  // member below it can hold packets and is destroyed first. Each scenario owns its
+  // own pool, so sweep workers never share one (TBF_SWEEP_THREADS stays race-free and
+  // bit-identical).
+  CellStack cell_;
   std::unique_ptr<net::WiredLink> wired_;
-  std::unique_ptr<net::Demux> demux_;
   std::unique_ptr<net::WiredHost> server_;
-  std::map<NodeId, std::unique_ptr<net::WirelessHost>> hosts_;
   std::vector<std::unique_ptr<FlowEngine>> flows_;
-  stats::StatsEngine stats_;  // Configured from config_.stats in Build().
-  core::TimeBasedRegulator* tbr_ = nullptr;
   bool built_ = false;
 };
 

@@ -1,4 +1,4 @@
-// Measurement utilities: per-node airtime and throughput meters, fairness indices.
+// Measurement utilities: the per-node airtime meter and fairness indices.
 #ifndef TBF_STATS_METERS_H_
 #define TBF_STATS_METERS_H_
 
@@ -66,36 +66,6 @@ class AirtimeMeter {
  private:
   std::vector<TimeNs> airtime_;  // Indexed by NodeId; zero = never charged.
   TimeNs total_ = 0;
-};
-
-// Counts application payload bytes delivered per node (goodput numerator).
-class ThroughputMeter {
- public:
-  void AddBytes(NodeId node, int64_t bytes) {
-    bytes_[node] += bytes;
-    total_ += bytes;
-  }
-
-  int64_t Bytes(NodeId node) const {
-    auto it = bytes_.find(node);
-    return it == bytes_.end() ? 0 : it->second;
-  }
-
-  int64_t TotalBytes() const { return total_; }
-
-  double Bps(NodeId node, TimeNs interval) const { return ThroughputBps(Bytes(node), interval); }
-  double TotalBps(TimeNs interval) const { return ThroughputBps(total_, interval); }
-
-  const std::map<NodeId, int64_t>& by_node() const { return bytes_; }
-
-  void Reset() {
-    bytes_.clear();
-    total_ = 0;
-  }
-
- private:
-  std::map<NodeId, int64_t> bytes_;
-  int64_t total_ = 0;
 };
 
 // Jain's fairness index over a vector of allocations: (sum x)^2 / (n * sum x^2).

@@ -366,16 +366,8 @@ TEST(CampaignManifestTest, InvalidManifestIsRejectedUpFront) {
 // be byte-identical to the fault-free serial reference.
 // ---------------------------------------------------------------------------
 
-struct WorkerHandle {
-  std::thread thread;
-  WorkerStats stats;
-};
-
-WorkerHandle StartWorker(WorkerConfig config) {
-  WorkerHandle handle;
-  auto* stats = &handle.stats;
-  handle.thread = std::thread([config, stats] { *stats = RunWorker(config); });
-  return handle;
+std::thread StartWorker(WorkerConfig config) {
+  return std::thread([config] { RunWorker(config); });
 }
 
 // Runs a campaign over a real unix socket with the given worker fleet; returns the
@@ -385,7 +377,7 @@ std::string RunCampaign(const Manifest& manifest, CoordinatorConfig config,
                         std::vector<WorkerConfig> worker_configs,
                         CoordinatorStats* stats_out = nullptr) {
   auto coordinator = std::make_unique<Coordinator>(manifest, config);
-  std::vector<WorkerHandle> workers;
+  std::vector<std::thread> workers;
   workers.reserve(worker_configs.size());
   for (WorkerConfig& wc : worker_configs) {
     workers.push_back(StartWorker(wc));
@@ -397,8 +389,8 @@ std::string RunCampaign(const Manifest& manifest, CoordinatorConfig config,
   }
   std::string archive = finished ? coordinator->EncodeArchiveBytes() : "";
   coordinator.reset();
-  for (WorkerHandle& w : workers) {
-    w.thread.join();
+  for (std::thread& w : workers) {
+    w.join();
   }
   return archive;
 }
@@ -480,10 +472,26 @@ TEST(CampaignStressTest, FaultRiddenCampaignMergesByteIdenticalToSerial) {
     return wc;
   };
 
+  // The honest worker carries most of the campaign (every fault costs a faulty worker
+  // a reconnect), so f1 and f2 see only ~100-150 first executions - and a hang takes
+  // a worker out for the heartbeat timeout, longer than the rest of the campaign. Their
+  // random draws alone miss a whole failure mode in a few percent of runs (no hang at
+  // all, or both hanging before either crashed). One scripted worker per mode, which
+  // faults on its first job and serves honestly afterwards, makes every mode certain.
+  auto scripted = [&](const char* name, double FaultPlan::*mode) {
+    WorkerConfig wc = HonestWorker(config.socket_path, name);
+    wc.faults.*mode = 1.0;
+    wc.faults.max_faults = 1;
+    return wc;
+  };
+
   CoordinatorStats stats;
   const std::string archive =
       RunCampaign(manifest, config,
                   {faulty("f1", 101), faulty("f2", 202),
+                   scripted("crasher", &FaultPlan::crash),
+                   scripted("hanger", &FaultPlan::hang),
+                   scripted("liar", &FaultPlan::corrupt),
                    HonestWorker(config.socket_path, "honest")},
                   &stats);
   EXPECT_EQ(archive, RunSerialArchive(manifest));

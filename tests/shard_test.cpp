@@ -6,11 +6,13 @@
 // thread pool here, so any shared mutable state between them becomes a hard failure.
 #include "tbf/shard/campus_sim.h"
 
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tbf/scenario/wlan.h"
 #include "tbf/shard/mailbox.h"
 #include "tbf/shard/shard_link.h"
 
@@ -190,6 +192,56 @@ TEST(ShardCampusTest, SingleBssMatchesAcrossShardThreads) {
     EXPECT_EQ(results.cells.size(), 1u);
     EXPECT_GT(results.cells[0].aggregate_bps, 0.0);
     EXPECT_EQ(results.cells[0].flows.size(), 3u);
+  }
+}
+
+TEST(ShardCampusTest, SingleBssCellMatchesWlanCell) {
+  // A one-BSS campus cell and a standalone Wlan are the same cell: with the campus seed
+  // one below the Wlan seed, cell 0 draws the Wlan's stream. An uplink-saturated UDP
+  // cell never sends anything back over the backbone, so every MAC-level readout must
+  // match bit for bit - across ARF, SNR-coupled loss, fixed PER and the client agent.
+  BssSpec bss = MakeBss(6, Direction::kUplink, Transport::kUdp);
+  for (FlowSpec& flow : bss.flows) {
+    flow.udp_rate = Mbps(9);  // Above any single DSSS link's capacity.
+  }
+  bss.stations[0].arf = true;
+  bss.stations[1].per = 0.1;
+  bss.stations[2].snr_db = 8.0;
+  bss.stations[2].arf = true;
+
+  struct Mode {
+    QdiscKind qdisc;
+    bool client_agent;
+  };
+  for (const Mode mode : {Mode{QdiscKind::kFifo, false}, Mode{QdiscKind::kTbr, false},
+                          Mode{QdiscKind::kTbr, true}}) {
+    CampusConfig config = SmallCampusConfig(mode.qdisc);
+    config.cell.tbr.client_agent = mode.client_agent;
+
+    scenario::ScenarioConfig wlan_config = config.cell;
+    wlan_config.seed = config.cell.seed + 1;
+    scenario::Wlan wlan(wlan_config);
+    for (const StationSpec& station : bss.stations) {
+      wlan.AddStation(station);
+    }
+    for (const FlowSpec& flow : bss.flows) {
+      wlan.AddFlow(flow);
+    }
+    const scenario::Results single = wlan.Run();
+
+    CampusSim campus(config, 1);
+    campus.AddBss(bss);
+    const CampusResults sharded = campus.Run();
+    ASSERT_EQ(sharded.cells.size(), 1u);
+    const scenario::Results& cell = sharded.cells[0];
+
+    const std::string tag = "qdisc=" + std::to_string(static_cast<int>(mode.qdisc)) +
+                            " client_agent=" + std::to_string(mode.client_agent);
+    EXPECT_GT(single.mac_exchanges, 0) << tag;
+    EXPECT_EQ(cell.mac_exchanges, single.mac_exchanges) << tag;
+    EXPECT_EQ(cell.mac_collisions, single.mac_collisions) << tag;
+    EXPECT_EQ(cell.utilization, single.utilization) << tag;
+    EXPECT_EQ(cell.airtime_share, single.airtime_share) << tag;
   }
 }
 

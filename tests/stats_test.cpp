@@ -37,17 +37,6 @@ TEST(AirtimeMeterTest, ResetClears) {
   EXPECT_EQ(meter.Airtime(1), 0);
 }
 
-TEST(ThroughputMeterTest, AccumulatesAndConverts) {
-  ThroughputMeter meter;
-  meter.AddBytes(1, 125'000);
-  meter.AddBytes(1, 125'000);
-  meter.AddBytes(2, 125'000);
-  EXPECT_EQ(meter.Bytes(1), 250'000);
-  EXPECT_EQ(meter.TotalBytes(), 375'000);
-  EXPECT_DOUBLE_EQ(meter.Bps(1, Sec(1)), 2e6);
-  EXPECT_DOUBLE_EQ(meter.TotalBps(Sec(3)), 1e6);
-}
-
 TEST(JainIndexTest, KnownValues) {
   EXPECT_DOUBLE_EQ(JainIndex({}), 1.0);
   EXPECT_DOUBLE_EQ(JainIndex({5.0}), 1.0);
